@@ -6,18 +6,38 @@ let now () = Obs.Trace.now ()
 let ms_between t0 t1 = Int64.to_float (Int64.sub t1 t0) /. 1e6
 let s_between t0 t1 = Int64.to_float (Int64.sub t1 t0) /. 1e9
 
+let median l =
+  let a = Array.of_list l in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  if n = 0 then 0.0
+  else if n mod 2 = 1 then a.(n / 2)
+  else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
 (* --- growable float sample buffers ---
 
    Samples live outside the OCaml heap (a Bigarray), so the buffers, which
    grow with the number of operations a run completes, stay out of
-   [peak_heap_mb] and out of the GC's work. *)
+   [peak_heap_mb] and out of the GC's work.  The timed window marks block
+   ends in every buffer, so a tail figure can be taken per block. *)
 
 module Samples = struct
   open Bigarray
 
-  type t = { mutable a : (float, float64_elt, c_layout) Array1.t; mutable n : int }
+  type t = {
+    mutable a : (float, float64_elt, c_layout) Array1.t;
+    mutable n : int;
+    mutable marks : int list;  (* sample counts at block ends, latest first *)
+  }
 
-  let create () = { a = Array1.create float64 c_layout 4096; n = 0 }
+  let all : t list ref = ref []
+
+  let create () =
+    let t = { a = Array1.create float64 c_layout 4096; n = 0; marks = [] } in
+    all := t :: !all;
+    t
+
+  let mark_all () = List.iter (fun t -> t.marks <- t.n :: t.marks) !all
 
   let add t x =
     if t.n = Array1.dim t.a then begin
@@ -40,18 +60,46 @@ module Samples = struct
       !s /. float_of_int t.n
     end
 
-  (* nearest-rank percentile; 0 on an empty buffer *)
-  let percentile t q =
-    if t.n = 0 then 0.0
+  (* nearest-rank percentile of samples [lo, hi); 0 on an empty range *)
+  let percentile_range t lo hi q =
+    let n = hi - lo in
+    if n <= 0 then 0.0
     else begin
-      let s = Array.init t.n (fun i -> t.a.{i}) in
+      let s = Array.init n (fun i -> t.a.{lo + i}) in
       Array.sort Float.compare s;
-      let rank = int_of_float (Float.ceil (q *. float_of_int t.n)) in
-      s.(max 0 (min (t.n - 1) (rank - 1)))
+      let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
+      s.(max 0 (min (n - 1) (rank - 1)))
     end
 
-  (* samples strictly beyond the q-quantile: the support of a tail figure *)
-  let beyond t q = t.n - int_of_float (Float.ceil (q *. float_of_int t.n))
+  let percentile t q = percentile_range t 0 t.n q
+
+  (* the non-empty [lo, hi) sample ranges between block marks *)
+  let blocks t =
+    let ends = List.sort_uniq compare (t.n :: t.marks) in
+    let rec go lo = function
+      | [] -> []
+      | hi :: rest -> if hi > lo then (lo, hi) :: go hi rest else go lo rest
+    in
+    go 0 ends
+
+  (* The median over the window's blocks of each block's q-percentile.  A
+     slow stretch of the host lifts the tail of the blocks it covers, not
+     the median block, so the figure repeats across runs better than one
+     percentile over the whole window. *)
+  let block_percentile t q =
+    median (List.map (fun (lo, hi) -> percentile_range t lo hi q) (blocks t))
+
+  (* samples strictly beyond the q-quantile in the block that has fewest:
+     the support of a per-block tail figure *)
+  let min_beyond t q =
+    match blocks t with
+    | [] -> 0
+    | bs ->
+      List.fold_left
+        (fun acc (lo, hi) ->
+          let n = hi - lo in
+          min acc (n - int_of_float (Float.ceil (q *. float_of_int n))))
+        max_int bs
 end
 
 (* --- the benchmark's own spans ---
@@ -152,46 +200,39 @@ let peak_heap_mb () =
   let st = Gc.quick_stat () in
   float_of_int (st.Gc.top_heap_words * (Sys.word_size / 8)) /. 1048576.0
 
-type gc_snap = { minor_words : float; major_collections : int }
+(* --- repeated set-up: median time, last instance kept ---
 
-let gc_snap () =
-  let st = Gc.quick_stat () in
-  { minor_words = st.Gc.minor_words; major_collections = st.Gc.major_collections }
+   All set-ups of a run come before its window, so each finds the heap in
+   the same state: set-ups made after the window, on a heap the window had
+   grown, ran up to a third faster on http-mixed and split a run's set-up
+   times into two groups whose boundary decided the median. *)
 
-(* --- repeated set-up: median time, last instance kept --- *)
-
-let median l =
-  let a = Array.of_list l in
-  Array.sort Float.compare a;
-  let n = Array.length a in
-  if n = 0 then 0.0
-  else if n mod 2 = 1 then a.(n / 2)
-  else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
-
-(* Runs [build] [n] times, disposing of every instance but the last and
-   compacting between them, so each set-up starts from the same heap
-   state.  [build] returns the instance and its set-up seconds. *)
-let repeat_setup n ~dispose build =
+(* Runs [build] [warmup + n] times, disposing of every instance but the
+   last and collecting the heap before each, and returns the last instance
+   with the set-up seconds of all but the first [warmup], which fault the
+   heap and code in.  [build i] returns the [i]th instance and its set-up
+   seconds.  A busy wait of [gap_s] before each timed set-up spreads short
+   set-ups over several of the host's fast and slow stretches, which last
+   about a second (README.md, "Noise and steadiness"). *)
+let repeat_setup ?(warmup = 0) ?(gap_s = 0.0) n ~dispose build =
+  let total = warmup + n in
   let rec go i times =
+    if i >= warmup then begin
+      let t0 = now () in
+      while s_between t0 (now ()) < gap_s do
+        ()
+      done
+    end;
     Gc.compact ();
     let inst, secs = build i in
-    if i = n - 1 then (inst, List.rev (secs :: times))
+    let times = if i < warmup then times else secs :: times in
+    if i = total - 1 then (inst, List.rev times)
     else begin
       dispose inst;
-      go (i + 1) (secs :: times)
+      go (i + 1) times
     end
   in
   go 0 []
-
-(* Further set-ups after the timed window, disposed at once: spreading the
-   set-ups of a run over its whole length keeps one slow or fast stretch
-   of the host from deciding the median. *)
-let more_setups n ~dispose build =
-  List.init n (fun i ->
-      Gc.compact ();
-      let inst, secs = build (1000 + i) in
-      dispose inst;
-      secs)
 
 (* --- the closed-loop window --- *)
 
@@ -203,18 +244,22 @@ type window = {
 }
 
 (* Runs [round] back to back until [seconds] have elapsed, ending on a
-   round boundary.  With [trace], the window alternates untraced and traced
-   blocks of [block_s] so both see the same host regimes; spans are
-   recorded in the traced blocks only. *)
-let run_window ~seconds ~trace round =
+   round boundary, and cuts it into [tail_blocks] equal blocks, marked in
+   every sample buffer for {!Samples.block_percentile}.  With [trace], the
+   window alternates untraced and traced blocks of [block_s] so both see
+   the same host regimes; spans are recorded in the traced blocks only. *)
+let run_window ~tail_blocks ~seconds ~trace round =
   Gc.compact ();
   let block_s = 0.5 in
+  let mark_s = seconds /. float_of_int tail_blocks in
+  (* the last block ends with the window, not at a computed mark *)
+  let next_mark = ref (if tail_blocks > 1 then mark_s else infinity) in
   let t_start = now () in
   let untraced = ref 0 and traced = ref 0 in
   let untraced_s = ref 0.0 and traced_s = ref 0.0 in
-  let mode = ref false in
+  let traced_block = ref false in
   while s_between t_start (now ()) < seconds do
-    Spans.on := !mode;
+    Spans.on := !traced_block;
     let b0 = now () in
     let n = ref 0 in
     while
@@ -223,10 +268,16 @@ let run_window ~seconds ~trace round =
       || !n = 0
     do
       round ();
-      incr n
+      incr n;
+      if s_between t_start (now ()) >= !next_mark then begin
+        Samples.mark_all ();
+        next_mark :=
+          if !next_mark +. mark_s > seconds -. (mark_s /. 2.0) then infinity
+          else !next_mark +. mark_s
+      end
     done;
     let dt = s_between b0 (now ()) in
-    if !mode then begin
+    if !traced_block then begin
       traced := !traced + !n;
       traced_s := !traced_s +. dt
     end
@@ -234,9 +285,10 @@ let run_window ~seconds ~trace round =
       untraced := !untraced + !n;
       untraced_s := !untraced_s +. dt
     end;
-    if trace then mode := not !mode
+    if trace then traced_block := not !traced_block
   done;
   Spans.on := false;
+  Samples.mark_all ();
   { rounds = !untraced; elapsed_s = !untraced_s; traced_rounds = !traced; traced_s = !traced_s }
 
 (* --- results --- *)
@@ -246,8 +298,8 @@ type metric = { name : string; unit_ : string; value : float }
 let m name unit_ value = { name; unit_; value }
 
 type outcome = {
-  e2e : metric list;  (* printed with --trace 0 *)
-  layer : metric list;  (* printed with --trace 1 *)
+  e2e : metric list;  (* what a user of the system sees *)
+  layer : metric list;  (* per layer; the span-based ones need --trace 1 *)
   extra : metric list;  (* human report only: class latencies, sample counts *)
   attempted : int;
   info : (string * string) list;

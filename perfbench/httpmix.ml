@@ -15,8 +15,13 @@ module Runtime = Trigview.Runtime
 module Api = Httpfront.Api
 
 let params = { W.quick_defaults with W.leaf_tuples = 1024; num_triggers = 0; num_satisfied = 0 }
-let setups_before = 5
-let setups_after = 4
+
+let setup_gap_s = 0.25
+let setups = 24
+
+(* 6 s tail blocks at 30 s keep 10 or more samples beyond each class's p99
+   in every block *)
+let tail_blocks = 5
 let requests_per_round = 6
 let page = 5
 
@@ -186,21 +191,23 @@ let run ~seed ~seconds ~trace =
   let n_top = max 1 (params.W.leaf_tuples / params.W.fanout) in
   let watched = Random.State.int rng n_top in
   let phases = ref [] in
-  let inst, setup_times =
-    repeat_setup setups_before ~dispose (fun i ->
-        let inst, s = setup ~watched i in
-        phases := inst.build_s :: !phases;
-        (inst, s))
+  let build i =
+    let inst, s = setup ~watched i in
+    (* set-up 0 is the untimed warm-up *)
+    if i > 0 then phases := inst.build_s :: !phases;
+    (inst, s)
   in
-  check !sse_head_seen "SSE stream did not open";
   let leaf_table = W.table_name params.W.depth in
-  let ledger = Ledger.create (Relkit.Database.get_table inst.built.W.db leaf_table) in
-  let level_rows = List.length (Runtime.view_rows inst.mgr ~view:"doc" ()) in
-  let fields = Runtime.view_level_fields inst.mgr ~view:"doc" () in
   let reads = Samples.create () and sqls = Samples.create () and vdmls = Samples.create () in
   let first = Samples.create () in
-  let rtt_ms = ref 0.0 and n_req = ref 0 and watched_writes = ref 0 in
-  let returned = ref 0 and n_reads = ref 0 in
+  let rtt_ms = ref 0.0 and n_req = ref 0 in
+  let inst, setup_times = repeat_setup ~warmup:1 ~gap_s:setup_gap_s setups ~dispose build in
+  check !sse_head_seen "SSE stream did not open";
+  let watched_name = inst.built.W.top_names.(watched) in
+  let fields = Runtime.view_level_fields inst.mgr ~view:"doc" () in
+  let ledger = Ledger.create (Relkit.Database.get_table inst.built.W.db leaf_table) in
+  let level_rows = List.length (Runtime.view_rows inst.mgr ~view:"doc" ()) in
+  let watched_writes = ref 0 in
   let request ~samples ~meth ~target ~body ~watched:w =
     let ev0 = !sse_events in
     first_event := 0L;
@@ -247,24 +254,17 @@ let run ~seed ~seconds ~trace =
     let o = Random.State.int rng (n_top - 1) in
     if o >= watched then o + 1 else o
   in
+  let read target = request ~samples:reads ~meth:"GET" ~watched:false ~body:"" ~target in
   let read_eq () =
     let e = Random.State.int rng n_top in
     let body =
-      request ~samples:reads ~meth:"GET" ~watched:false ~body:""
-        ~target:(Printf.sprintf "/views/doc?eq(name,string:%s)" inst.built.W.top_names.(e))
+      read (Printf.sprintf "/views/doc?eq(name,string:%s)" inst.built.W.top_names.(e))
     in
-    incr n_reads;
-    returned := !returned + 1;
     check (contains body "\"total\": 1, \"count\": 1,") "eq read: unexpected body shape"
   in
   let read_sorted () =
     let off = Random.State.int rng (n_top - page) in
-    let body =
-      request ~samples:reads ~meth:"GET" ~watched:false ~body:""
-        ~target:(Printf.sprintf "/views/doc?sort(-name)&limit(%d,%d)" off page)
-    in
-    incr n_reads;
-    returned := !returned + page;
+    let body = read (Printf.sprintf "/views/doc?sort(-name)&limit(%d,%d)" off page) in
     check
       (contains body (Printf.sprintf "\"total\": %d, \"count\": %d," level_rows page))
       "sorted read: unexpected body shape"
@@ -316,66 +316,63 @@ let run ~seed ~seconds ~trace =
       (Obs.Metrics.histograms (Api.registry inst.api))
   in
   let events_start = !sse_events in
-  let writes_start = !watched_writes in
   for _ = 1 to 4 do
     round ()
   done;
   let c0 = Counters.snapshot inst.mgr and r0 = registry () in
-  let rtt0 = !rtt_ms and req0 = !n_req and reads0 = !n_reads and returned0 = !returned in
-  step_busy_ns := 0.0;
+  let rtt0 = !rtt_ms and req0 = !n_req in
   sampling := true;
-  let w = run_window ~seconds ~trace round in
+  let w = run_window ~tail_blocks ~seconds ~trace round in
   sampling := false;
   let c1 = Counters.snapshot inst.mgr and r1 = registry () in
   (* let the last frames arrive, then check the stream *)
   for _ = 1 to 20 do
     pump inst
   done;
-  check
-    (!sse_events - events_start = !watched_writes - writes_start)
-    "SSE events %d, watched writes %d" (!sse_events - events_start)
-    (!watched_writes - writes_start);
+  let events = !sse_events - events_start in
+  check (events = !watched_writes) "SSE events %d, watched writes %d" events !watched_writes;
   check (!sse_gaps = 0) "%d SSE frames without a contiguous id" !sse_gaps;
   Ledger.check_final ledger;
-  let events = !sse_events - events_start in
   let heap = peak_heap_mb () in
   dispose inst;
-  let setup_times =
-    setup_times
-    @ more_setups setups_after ~dispose (fun i ->
-          let inst, s = setup ~watched i in
-          phases := inst.build_s :: !phases;
-          (inst, s))
+  let handlers =
+    List.map
+      (fun (name, (c, s)) ->
+        let c0, s0 = Option.value (List.assoc_opt name r0) ~default:(0, 0.0) in
+        (name, (c - c0, s -. s0)))
+      r1
   in
+  let rtt = !rtt_ms -. rtt0 and reqs = !n_req - req0 in
+  let delta = Counters.diff c1 c0 in
   let window_reqs = (w.rounds + w.traced_rounds) * requests_per_round in
   let window_writes = (w.rounds + w.traced_rounds) * 4 in
-  let handler label =
-    let c0, s0 = Option.value (List.assoc_opt ("http:" ^ label) r0) ~default:(0, 0.0) in
-    let c1, s1 = Option.value (List.assoc_opt ("http:" ^ label) r1) ~default:(0, 0.0) in
-    Counters.ms_per s0 s1 (c1 - c0)
+  (* mean handler time over the window: all handlers, or those of [label] *)
+  let handler_ms ?label () =
+    let c, s =
+      List.fold_left
+        (fun (c, s) (name, (c', s')) ->
+          if label = None || label = Some name then (c + c', s +. s') else (c, s))
+        (0, 0.0) handlers
+    in
+    Counters.ms_per s c
   in
-  let total reg = List.fold_left (fun (c, s) (_, (c', s')) -> (c + c', s +. s')) (0, 0.0) reg in
-  let hc0, hs0 = total r0 and hc1, hs1 = total r1 in
-  let base = Counters.layer_metrics c0 c1 ~writes:window_writes ~ops:window_reqs in
-  let sql_ms = handler "POST /sql" in
+  let base = Counters.layer_metrics delta ~writes:window_writes ~ops:window_reqs in
+  let sql_ms = handler_ms ~label:"http:POST /sql" () in
   let layer =
     base
     @ [ m "runtime.first_dispatch_ms" "ms" (Samples.mean first);
         m "sql.exec_ms" "ms" sql_ms;
         m "sql.self_ms" "ms" (sql_ms -. Counters.find "runtime.fire_ms" base);
-        m "http.handler_ms.views" "ms" (handler "GET /views");
+        m "http.handler_ms.views" "ms" (handler_ms ~label:"http:GET /views" ());
         m "http.handler_ms.sql" "ms" sql_ms;
-        m "http.handler_ms.view_update" "ms" (handler "POST /views/update");
-        m "http.transport_ms" "ms"
-          ((!rtt_ms -. rtt0) /. float_of_int (!n_req - req0) -. Counters.ms_per hs0 hs1 (hc1 - hc0));
+        m "http.handler_ms.view_update" "ms" (handler_ms ~label:"http:POST /views/update" ());
+        m "http.transport_ms" "ms" ((rtt /. float_of_int reqs) -. handler_ms ());
         m "http.step_busy_share" "ratio"
           (if w.traced_s > 0.0 then !step_busy_ns /. 1e9 /. w.traced_s else 0.0);
-        m "rql.view_rows_per_result" "count"
-          (float_of_int (level_rows * (!n_reads - reads0)) /. float_of_int (!returned - returned0));
         m "read_p50_ms" "ms" (Samples.percentile reads 0.50);
-        m "read_p99_ms" "ms" (Samples.percentile reads 0.99);
+        m "read_p99_ms" "ms" (Samples.block_percentile reads 0.99);
         m "viewdml_p50_ms" "ms" (Samples.percentile vdmls 0.50);
-        m "viewdml_p99_ms" "ms" (Samples.percentile vdmls 0.99);
+        m "viewdml_p99_ms" "ms" (Samples.block_percentile vdmls 0.99);
         m "setup.build_s" "s" (median !phases);
       ]
   in
@@ -388,21 +385,25 @@ let run ~seed ~seconds ~trace =
       [ m "setup_s" "s" (median setup_times);
         m "ops_per_s" "1/s" ops_per_s;
         m "write_p50_ms" "ms" (Samples.percentile sqls 0.50);
-        m "write_p99_ms" "ms" (Samples.percentile sqls 0.99);
+        m "write_p99_ms" "ms" (Samples.block_percentile sqls 0.99);
         m "notify_p50_ms" "ms" (Samples.percentile notify 0.50);
-        m "notify_p99_ms" "ms" (Samples.percentile notify 0.99);
+        m "notify_p99_ms" "ms" (Samples.block_percentile notify 0.99);
         m "peak_heap_mb" "MB" heap;
       ];
     layer;
     extra =
       [ m "read_p50_ms" "ms" (Samples.percentile reads 0.50);
-        m "read_p99_ms" "ms" (Samples.percentile reads 0.99);
+        m "read_p99_ms" "ms" (Samples.block_percentile reads 0.99);
         m "viewdml_p50_ms" "ms" (Samples.percentile vdmls 0.50);
-        m "viewdml_p99_ms" "ms" (Samples.percentile vdmls 0.99);
+        m "viewdml_p99_ms" "ms" (Samples.block_percentile vdmls 0.99);
         m "read.samples" "count" (float_of_int (Samples.count reads));
+        m "read.beyond_p99" "count" (float_of_int (Samples.min_beyond reads 0.99));
         m "write.samples" "count" (float_of_int (Samples.count sqls));
+        m "write.beyond_p99" "count" (float_of_int (Samples.min_beyond sqls 0.99));
         m "viewdml.samples" "count" (float_of_int (Samples.count vdmls));
+        m "viewdml.beyond_p99" "count" (float_of_int (Samples.min_beyond vdmls 0.99));
         m "notify.samples" "count" (float_of_int (Samples.count notify));
+        m "notify.beyond_p99" "count" (float_of_int (Samples.min_beyond notify 0.99));
         m "sse.events" "count" (float_of_int events);
         m "traced_ops_per_s" "1/s" traced_ops_per_s;
       ];
@@ -411,7 +412,7 @@ let run ~seed ~seconds ~trace =
       [ ("params",
           Printf.sprintf "depth 3, %d leaves, fanout 64, %d top-level elements"
             params.W.leaf_tuples n_top);
-        ("watched_element", inst.built.W.top_names.(watched));
+        ("watched_element", watched_name);
         ("view_fields", String.concat "," fields);
         ("setup_s.each", String.concat " " (List.map (Printf.sprintf "%.4f") setup_times));
       ];

@@ -1,60 +1,27 @@
 (* The repository benchmark.  One run:
 
-     perfbench --workload NAME --seed N --seconds S --trace 0|1 [--wal-dir DIR]
+     perfbench --workload NAME --seed N --seconds S --trace 0|1 --wal-dir DIR
 
    sets the workload up (several times; the median set-up time is
    reported), warms it up, measures a closed loop for S seconds, checks
    the outputs, and prints a human-readable report (lines starting with
-   '#') followed by one JSON result line.  With --trace 0 the JSON carries
-   the end-to-end metrics; with --trace 1 the per-layer metrics, taken from
-   the benchmark's own spans and counter deltas in traced blocks that
-   alternate with untraced ones.  See README.md. *)
+   '#') followed by one JSON result line carrying every metric the run
+   computed.  With --trace 1 the window alternates traced and untraced
+   blocks, and the per-layer figures that come from the benchmark's own
+   spans are filled in.  run.py selects the metrics BENCHMARK.json names
+   for the mode.  See README.md. *)
 
 open Harness
-
-(* Throughput and the medians of the latency classes moved with the host's
-   speed about twice as much as the p99s across runs (README.md, "Noise
-   and steadiness"), so they are unbounded per-layer figures. *)
-let end_to_end =
-  [ ("setup_s", "s"); ("write_p99_ms", "ms"); ("notify_p99_ms", "ms"); ("peak_heap_mb", "MB") ]
-
-(* Every workload prints every per-layer metric; a layer that does not run
-   in a workload reads 0 there. *)
-let per_layer =
-  [ ("ops_per_s", "1/s"); ("runtime.firings_per_write", "count"); ("runtime.skipped_per_write", "count");
-    ("runtime.scan_rows_per_write", "count"); ("runtime.pairs_per_write", "count");
-    ("runtime.dispatch_per_write", "count"); ("runtime.fire_ms", "ms"); ("write_p50_ms", "ms");
-    ("notify_p50_ms", "ms");
-    ("runtime.first_dispatch_ms", "ms"); ("ra_compile.build_cache_hit_ratio", "ratio");
-    ("sql.exec_ms", "ms"); ("sql.self_ms", "ms"); ("wal.append_ms", "ms"); ("wal.fsync_ms", "ms");
-    ("wal.fsyncs_per_write", "count"); ("subscribe.flush_ms", "ms");
-    ("subscribe.delivered_per_write", "count"); ("subscribe.shed_share", "ratio");
-    ("http.handler_ms.views", "ms"); ("http.handler_ms.sql", "ms");
-    ("http.handler_ms.view_update", "ms"); ("http.transport_ms", "ms");
-    ("http.step_busy_share", "ratio"); ("rql.view_rows_per_result", "count");
-    ("read_p50_ms", "ms"); ("read_p99_ms", "ms"); ("viewdml_p50_ms", "ms");
-    ("viewdml_p99_ms", "ms"); ("gc.minor_words_per_op", "words"); ("gc.major_collections", "count");
-    ("setup.build_s", "s"); ("setup.arm_ms_per_trigger", "ms"); ("setup.checkpoint_s", "s");
-    ("host.spin_ms.start", "ms"); ("host.spin_ms.end", "ms"); ("trace.ops_per_s_ratio", "ratio");
-  ]
-
-let canonical names given =
-  List.map
-    (fun (name, unit_) ->
-      match List.find_opt (fun x -> x.name = name) given with
-      | Some x -> { x with unit_ }
-      | None -> m name unit_ 0.0)
-    names
 
 let usage () =
   prerr_endline
     "usage: perfbench --workload paper-table2|sql-feed|http-mixed --seed N --seconds S --trace \
-     0|1 [--wal-dir DIR]";
+     0|1 --wal-dir DIR";
   exit 2
 
 let () =
   let workload = ref "" and seed = ref (-1) and seconds = ref 0.0 and trace = ref 0 in
-  let wal_dir = ref "_perfbench_wal" in
+  let wal_dir = ref "" in
   let rec parse = function
     | "--workload" :: v :: rest -> workload := v; parse rest
     | "--seed" :: v :: rest -> seed := int_of_string v; parse rest
@@ -65,7 +32,7 @@ let () =
     | _ -> usage ()
   in
   (try parse (List.tl (Array.to_list Sys.argv)) with Failure _ -> usage ());
-  if !seed < 0 || !seconds <= 0.0 || (!trace <> 0 && !trace <> 1) then usage ();
+  if !seed < 0 || !seconds <= 0.0 || (!trace <> 0 && !trace <> 1) || !wal_dir = "" then usage ();
   let trace = !trace = 1 in
   let run =
     match !workload with
@@ -92,24 +59,21 @@ let () =
     @ o.info
   in
   List.iter (fun (k, v) -> Printf.printf "# %-16s %s\n" k v) info;
-  let e2e = canonical end_to_end o.e2e in
   let ops_ratio =
     let untraced = (List.find (fun x -> x.name = "ops_per_s") o.e2e).value in
     match List.find_opt (fun x -> x.name = "traced_ops_per_s") o.extra with
     | Some t when untraced > 0.0 -> t.value /. untraced
     | _ -> 0.0
   in
-  let layer =
-    canonical per_layer
-      (o.layer @ o.e2e
-      @ [ m "host.spin_ms.start" "ms" spin0; m "host.spin_ms.end" "ms" spin1;
-          m "trace.ops_per_s_ratio" "ratio" ops_ratio;
-        ])
+  let host =
+    [ m "host.spin_ms.start" "ms" spin0; m "host.spin_ms.end" "ms" spin1;
+      m "trace.ops_per_s_ratio" "ratio" ops_ratio;
+    ]
   in
-  if not trace then print_metrics "end-to-end" o.e2e;
+  print_metrics "end-to-end" o.e2e;
   print_metrics "details" o.extra;
-  if trace then print_metrics "per-layer (traced blocks)" layer;
+  if trace then print_metrics "per-layer (traced blocks)" (o.layer @ host);
   List.iter (fun s -> Printf.printf "# FAILED CHECK: %s\n" s) (List.rev !failure_notes);
   print_endline
     (json_line ~attempted:(max 1 o.attempted) ~failed:(min !failures (max 1 o.attempted))
-       (if trace then layer else e2e))
+       (o.e2e @ o.layer @ host))
