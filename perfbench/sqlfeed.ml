@@ -21,8 +21,10 @@ let params = { W.quick_defaults with W.leaf_tuples = 4096; num_triggers = 0; num
 let setup_gap_s = 0.3
 let setups = 16
 
-(* 3 s tail blocks at 30 s *)
-let tail_blocks = 10
+(* 2 s tail blocks at 30 s: short enough that a burst of interference
+   from the host lifts a minority of them (README.md, "Block length"), long
+   enough to keep 10 or more statements beyond each block's write p99 *)
+let tail_blocks = 15
 let subscriptions = 1000
 let watched = 8
 let elements = 32

@@ -16,8 +16,8 @@ let writes_per_round = 4
 
 let setups = 3
 
-(* 3.3 s tail blocks at 30 s *)
-let tail_blocks = 9
+(* 1.5 s tail blocks at 30 s (README.md, "Block length") *)
+let tail_blocks = 20
 
 type inst = {
   built : W.built;
