@@ -10,7 +10,6 @@
 open Relkit
 module Runtime = Trigview.Runtime
 module Hub = Subscribe
-module Server = Subscribe.Server
 module Api = Httpfront.Api
 
 let catalog_view =
@@ -116,11 +115,11 @@ let help_text =
                               notifications to all sinks
   autoflush on|off            flush automatically after every command (on by
                               default; turn off to demo coalescing windows)
-  serve PATH                  start the notification socket server on Unix
-                              socket PATH (also: --socket)
   serve-http PORT             start the HTTP front door on 127.0.0.1:PORT
-                              (also: --http; PORT 0 picks an ephemeral port)
-  pump [MS]                   run the socket/HTTP server event loops for MS
+                              (also: --http; PORT 0 picks an ephemeral port);
+                              notifications stream as SSE from
+                              GET /subscribe/NAME
+  pump [MS]                   run the HTTP server event loop for MS
                               milliseconds (default 100)
   quit                        exit|}
 
@@ -134,7 +133,7 @@ let notify_action fi =
     (fun n -> Printf.printf "  NEW: %s\n" (Xmlkit.Xml.to_string n))
     fi.Runtime.fi_new
 
-let run strategy script data_dir trace audit socket http domains no_independence =
+let run strategy script data_dir trace audit http domains no_independence =
   let tuning =
     { Runtime.default_tuning with
       Runtime.domains;
@@ -185,11 +184,6 @@ let run strategy script data_dir trace audit socket http domains no_independence
   let autoflush = ref true in
   (* echo delivered notifications in the shell, NDJSON as on the wire *)
   Hub.add_callback hub (fun n -> Printf.printf "~ %s\n" (Subscribe.Notification.to_ndjson n));
-  Option.iter
-    (fun path ->
-      Hub.add_server hub (Server.create ~path ());
-      Printf.printf "notification server listening on %s\n" path)
-    socket;
   let api = ref None in
   let start_http port =
     let a = Api.create ~port ~mgr ~hub () in
@@ -199,26 +193,21 @@ let run strategy script data_dir trace audit socket http domains no_independence
   Option.iter start_http http;
   (* at domains > 1 sink I/O moves off the firing thread too *)
   if domains > 1 then Hub.start_writer hub;
-  (* pump the socket/HTTP event loops until they go idle (bounded) *)
+  (* pump the HTTP event loop until it goes idle (bounded) *)
   let pump ms =
-    let step_once tmo =
-      (match Hub.server hub with
-      | None -> 0
-      | Some srv -> Server.step ~timeout_ms:tmo srv)
-      + (match !api with None -> 0 | Some a -> Api.step ~timeout_ms:tmo a)
-    in
-    if Hub.server hub <> None || Option.is_some !api then begin
-      let budget = ref (max 1 (ms / 10)) in
-      ignore (step_once (min ms 10));
-      while !budget > 0 do
-        decr budget;
-        if step_once 10 = 0 then budget := 0
-      done
-    end
+    Option.iter
+      (fun a ->
+        let budget = ref (max 1 (ms / 10)) in
+        ignore (Api.step ~timeout_ms:(min ms 10) a);
+        while !budget > 0 do
+          decr budget;
+          if Api.step ~timeout_ms:10 a = 0 then budget := 0
+        done)
+      !api
   in
   let flush_now ~verbose () =
     let n = Hub.flush hub in
-    Hub.drain_writer hub;  (* callback echo / socket bytes before the pump *)
+    Hub.drain_writer hub;  (* callback echo / SSE bytes before the pump *)
     pump 50;
     if verbose || n > 0 then Printf.printf "%d notification(s) delivered\n" n
   in
@@ -321,12 +310,6 @@ let run strategy script data_dir trace audit socket http domains no_independence
          | [ "flush" ] -> flush_now ~verbose:true ()
          | [ "autoflush"; "on" ] -> autoflush := true
          | [ "autoflush"; "off" ] -> autoflush := false
-         | [ "serve"; path ] ->
-           if Hub.server hub <> None then Printf.printf "server already running\n"
-           else begin
-             Hub.add_server hub (Server.create ~path ());
-             Printf.printf "notification server listening on %s\n" path
-           end
          | [ "serve-http"; port ] -> (
            if Option.is_some !api then Printf.printf "http server already running\n"
            else
@@ -402,9 +385,7 @@ let run strategy script data_dir trace audit socket http domains no_independence
   (* orderly shutdown: deliver what is pending, then make everything
      appended so far durable *)
   if Hub.subscription_names hub <> [] then flush_now ~verbose:false ();
-  let srv = Hub.server hub in
   Hub.close_sinks hub;  (* stops the writer domain before closing channels *)
-  Option.iter Server.stop srv;
   Option.iter Api.stop !api;
   Runtime.durability_sync mgr;
   if not interactive then close_in input
@@ -453,17 +434,6 @@ let audit_arg =
           "Enable the firing-provenance audit log from the start; inspect \
            with the $(b,audit) and $(b,why) commands.")
 
-let socket_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "socket" ]
-        ~doc:
-          "Serve notifications over the Unix-domain socket $(docv): \
-           subscriptions' notifications are published to connected clients \
-           as length-prefixed NDJSON frames (see the $(b,subscribe) and \
-           $(b,pump) commands).")
-
 let http_arg =
   Arg.(
     value
@@ -505,6 +475,6 @@ let cmd =
     (Cmd.info "trigview" ~doc:"Triggers over XML views of relational data — interactive shell")
     Term.(
       const run $ strategy_arg $ script_arg $ data_dir_arg $ trace_arg
-      $ audit_arg $ socket_arg $ http_arg $ domains_arg $ no_independence_arg)
+      $ audit_arg $ http_arg $ domains_arg $ no_independence_arg)
 
 let () = exit (Cmd.eval cmd)

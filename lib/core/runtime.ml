@@ -80,9 +80,8 @@ type tuning = {
       (* ... and the width of each, so the window spans
          buckets × width_ms of recent traffic *)
   request_deadline_ms : int;
-      (* per-request deadline for the network servers (socket hello /
-         write-drain eviction, HTTP request + long-poll abort); 0
-         disables deadlines *)
+      (* per-request deadline for the HTTP server (request-read 408,
+         long-poll hold, write-drain eviction); 0 disables deadlines *)
 }
 
 (* [domains] defaults from TRIGVIEW_DOMAINS so an unmodified test suite can

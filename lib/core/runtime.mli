@@ -109,10 +109,10 @@ type tuning = {
       (** bucket width in milliseconds (defaults from
           [$TRIGVIEW_WINDOW_WIDTH_MS], else 5000) *)
   request_deadline_ms : int;
-      (** per-request deadline applied by the network servers (Unix-socket
-          hello/write-drain eviction, HTTP request parse, handler and
-          long-poll hold); defaults from [$TRIGVIEW_REQUEST_DEADLINE_MS],
-          else 10000; [0] disables deadline enforcement *)
+      (** per-request deadline applied by the HTTP server (request parse,
+          long-poll hold, write-drain eviction); defaults from
+          [$TRIGVIEW_REQUEST_DEADLINE_MS], else 10000; [0] disables
+          deadline enforcement *)
 }
 
 (** [domains] defaults to [$TRIGVIEW_DOMAINS] when set to a positive

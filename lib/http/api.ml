@@ -408,7 +408,7 @@ let create ?max_inflight ?deadline_ms ?retain ?(port = 0) ~mgr ~hub () =
   Httpd.set_handler httpd (fun req -> handle t req);
   (* notifications flow into the HTTP replay ring alongside the other
      sinks; the channel is the subscription name, the payload the same
-     NDJSON the socket server frames *)
+     NDJSON line the file sink appends *)
   Hub.add_callback hub (fun n ->
       ignore
         (Httpd.publish httpd

@@ -7,7 +7,8 @@
        dispatch -> Long_poll  -> Held --publish/deadline--> Draining
 
    Requests are processed one at a time per connection; pipelined bytes
-   wait in [inbuf] until the previous response drains. *)
+   wait in [inbuf] until the previous response (or held long-poll) has
+   drained. *)
 
 module Replay = Subscribe.Replay
 
@@ -232,12 +233,15 @@ let start_sse t c ~channel ~cursor =
   in
   let buf = Buffer.create 512 in
   Buffer.add_string buf head;
-  (match Replay.gap_before t.ring ~cursor with
-  | Some oldest ->
-    Buffer.add_string buf
-      (sse_event ~id:(oldest - 1) ~event:"gap"
-         (Printf.sprintf "{\"gap\": true, \"oldest\": %d}" oldest))
-  | None -> ());
+  let cursor =
+    match Replay.gap_before t.ring ~cursor with
+    | Some oldest ->
+      Buffer.add_string buf
+        (sse_event ~id:(oldest - 1) ~event:"gap"
+           (Printf.sprintf "{\"gap\": true, \"oldest\": %d}" oldest));
+      oldest - 1
+    | None -> cursor
+  in
   Replay.iter_from t.ring ~cursor (fun g (ch, payload) ->
       if channel_matches channel ch then begin
         t.sse_events_c <- t.sse_events_c + 1;
@@ -247,15 +251,20 @@ let start_sse t c ~channel ~cursor =
   if not c.closed then c.state <- Streaming channel
 
 let longpoll_body t ~channel ~cursor =
+  let gap = Replay.gap_before t.ring ~cursor in
   let events = ref [] in
-  Replay.iter_from t.ring ~cursor (fun g (ch, payload) ->
+  Replay.iter_from t.ring
+    ~cursor:(match gap with Some oldest -> oldest - 1 | None -> cursor)
+    (fun g (ch, payload) ->
       if channel_matches channel ch then
         events :=
           Printf.sprintf "{\"gseq\": %d, \"data\": %s}" g payload :: !events);
   let events = List.rev !events in
-  let cursor' = if events = [] then cursor else Replay.last_gseq t.ring in
+  let cursor' =
+    if events = [] && gap = None then cursor else Replay.last_gseq t.ring
+  in
   let gap =
-    match Replay.gap_before t.ring ~cursor with
+    match gap with
     | Some oldest -> Printf.sprintf " \"gap\": true, \"oldest\": %d," oldest
     | None -> ""
   in
@@ -492,8 +501,9 @@ let read_conn t c =
     | Reading ->
       Buffer.add_subbytes c.inbuf buf 0 n;
       try_process t c
-    | Draining -> Buffer.add_subbytes c.inbuf buf 0 n  (* pipelined bytes *)
-    | Streaming _ | Held _ -> ()  (* ignore input on upgraded conns *))
+    | Draining | Held _ ->
+      Buffer.add_subbytes c.inbuf buf 0 n  (* pipelined bytes *)
+    | Streaming _ -> ()  (* an event stream never reads another request *))
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     -> ()
   | exception Unix.Unix_error _ -> close_conn t c

@@ -1,8 +1,8 @@
 (** Hand-rolled HTTP/1.1 server over [Unix] — the network front door's
     transport layer.
 
-    Same architecture as the Unix-socket notification server
-    ({!Subscribe.Server}): single-threaded and step-driven.  [step] runs
+    Single-threaded and step-driven: this is the one network event loop,
+    serving queries, updates and subscriptions alike.  [step] runs
     one [select] round — accept, read, parse, dispatch, write — and
     returns; the owner decides when to pump, so the server composes with
     the synchronous trigger runtime in one thread while [publish] may be
@@ -14,14 +14,16 @@
     trigger firings all execute with the same single-threaded discipline
     as the CLI paths.  A handler returns either a complete {!response},
     or upgrades the connection into one of the two subscription
-    transports backed by the shared {!Subscribe.Replay} ring:
+    transports backed by the {!Subscribe.Replay} ring:
 
     - {!constructor:Sse}: the connection becomes a [text/event-stream];
       retained events above the client's cursor are replayed first
       (preceded by a [gap] event when the cursor has fallen out of
-      retention), then live events stream as they are published.  Event
-      ids are the ring's gseq, so [Last-Event-ID] on reconnect resumes
-      with at-least-once semantics.
+      retention, or lies beyond the last id — a cursor from before a
+      restart — in which case everything retained is replayed), then
+      live events stream as they are published.  Event ids are the
+      ring's gseq, so [Last-Event-ID] on reconnect resumes with
+      at-least-once semantics.
     - {!constructor:Long_poll}: the connection is held until a matching
       publish or the deadline, then answered with a JSON batch
       [{"cursor": C, "events": [...]}].

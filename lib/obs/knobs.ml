@@ -32,8 +32,8 @@ let window_buckets () =
 let window_width_ms () =
   env_int "TRIGVIEW_WINDOW_WIDTH_MS" default_window_width_ms
 
-(* Per-request deadline for the network servers (socket hello/write-drain
-   eviction, HTTP request/long-poll abort).  0 disables deadlines. *)
+(* Per-request deadline for the HTTP server (request-read 408, long-poll
+   hold, write-drain eviction).  0 disables deadlines. *)
 let default_request_deadline_ms = 10_000
 
 let request_deadline_ms () =

@@ -2,8 +2,8 @@
    underlying XML trigger fires.
 
    The wire form is NDJSON — one JSON object per line — because every sink
-   speaks it: the file sink appends lines, the socket sink frames them, an
-   in-process callback can parse or ignore them.  Rendering is lazy: the
+   speaks it: the file sink appends lines, the HTTP front door sends them
+   as SSE [data:] lines, an in-process callback can parse or ignore them.  Rendering is lazy: the
    hot path (trigger firing -> enqueue) only captures the XML nodes; the
    string is produced when a sink first needs it, so notifications that are
    coalesced away or dropped by an overflow policy are never rendered. *)

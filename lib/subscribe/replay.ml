@@ -1,22 +1,17 @@
-(* Transport-agnostic retained-ring replay core.
+(* The retained-ring replay core behind the HTTP front door's SSE streams
+   and long-polls.
 
-   Factored out of the Unix-socket server so every delivery transport —
-   length-prefixed socket frames, HTTP server-sent events, long-poll —
-   shares one publication-sequence / retention / replay implementation.
-
-   Semantics (unchanged from the socket server that originated them):
-
-   - every published entry gets the next global sequence number
-     ([gseq], 1-based);
+   - every published entry gets the next global sequence number ([gseq],
+     1-based) — the SSE event id;
    - the last [retain] entries are kept in a ring;
-   - a client that reconnects with an ack cursor C is replayed every
-     retained entry with gseq > C, in order; if C+1 has already been
-     evicted the caller is told the oldest retained gseq first so it
-     can emit a transport-appropriate gap marker.
+   - a client that reconnects with cursor C is replayed every retained
+     entry with gseq > C, in order.  When C+1 has already been evicted, or
+     C lies beyond the last gseq (a cursor from before a restart: a fresh
+     ring numbers from 1 again), the caller is told the oldest retained
+     gseq first so it can emit a gap marker and replay from there.
 
-   Not thread-safe by itself: owners serialize access under their own
-   lock (the socket server's publish/step/stop mutex, the HTTP
-   server's connection lock). *)
+   Not thread-safe by itself: the owner serializes access under its own
+   lock (the HTTP server's connection lock). *)
 
 type 'a t = {
   ring : (int * 'a) option array;  (* (gseq, entry) slots *)
@@ -29,7 +24,6 @@ let create ?(retain = 4096) () =
   let cap = max 1 retain in
   { ring = Array.make cap None; cap; gseq = 0; published = 0 }
 
-let capacity t = t.cap
 let last_gseq t = t.gseq
 let published t = t.published
 
@@ -44,11 +38,13 @@ let publish t v =
    evicted yet. *)
 let oldest_retained t = max 1 (t.gseq - min t.gseq t.cap + 1)
 
-(* [Some oldest] when [cursor] is further behind than retention reaches:
-   the client must be told about the gap before any replay. *)
+(* [Some oldest] when [cursor] is further behind than retention reaches or
+   ahead of everything published: the client must be told about the gap,
+   then replayed from [oldest]. *)
 let gap_before t ~cursor =
   let oldest = oldest_retained t in
-  if cursor + 1 < oldest && t.gseq > 0 then Some oldest else None
+  if t.gseq > 0 && (cursor + 1 < oldest || cursor > t.gseq) then Some oldest
+  else None
 
 (* Visit every retained entry above [cursor], in gseq order. *)
 let iter_from t ~cursor f =
@@ -57,21 +53,3 @@ let iter_from t ~cursor f =
     | Some (g', v) when g' = g -> f g v
     | _ -> ()
   done
-
-let entries_from t ~cursor =
-  let acc = ref [] in
-  iter_from t ~cursor (fun g v -> acc := (g, v) :: !acc);
-  List.rev !acc
-
-(* The socket transport's framing: 4-byte big-endian payload length,
-   then the payload bytes.  Shared here so tests and any future framed
-   transport agree with the server on the wire format. *)
-let frame_u32 payload =
-  let n = String.length payload in
-  let b = Bytes.create (4 + n) in
-  Bytes.set b 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set b 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set b 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set b 3 (Char.chr (n land 0xff));
-  Bytes.blit_string payload 0 b 4 n;
-  Bytes.to_string b

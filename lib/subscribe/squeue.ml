@@ -4,8 +4,8 @@
    (the "flush window").  Three overflow policies match what a real fan-out
    tier needs: [Drop_oldest] (a lagging dashboard wants the freshest state),
    [Drop_newest] (an auditor wants the contiguous prefix), and [Disconnect]
-   (a subscriber that cannot keep up is kicked and must re-sync, e.g. over
-   the socket sink's ack/redelivery protocol).
+   (a subscriber that cannot keep up is kicked and must re-sync, e.g. by
+   reconnecting its SSE stream with [Last-Event-ID]).
 
    Coalescing is key-based and scoped to the flush window: when a new item
    carries the same key as one still pending, the pending item's payload is

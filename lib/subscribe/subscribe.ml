@@ -19,8 +19,9 @@
 
    Firings append {!Notification.t} records to the subscription's bounded
    {!Squeue}; [flush] drains every queue to the attached sinks (in-process
-   callback, NDJSON file, {!Server} socket).  The period between two
-   flushes is the coalescing window.
+   callback or NDJSON file; the HTTP front door attaches a callback that
+   publishes into its SSE replay ring).  The period between two flushes is
+   the coalescing window.
 
    Durability: the SUBSCRIBE DDL itself is logged (kind ["subscription"])
    while the generated trigger is *not* — after a crash, {!rearm} replays
@@ -30,7 +31,6 @@
 module Squeue = Squeue
 module Replay = Replay
 module Notification = Notification
-module Server = Server
 module Runtime = Trigview.Runtime
 module Database = Relkit.Database
 
@@ -41,7 +41,6 @@ let fail fmt = Printf.ksprintf (fun msg -> raise (Error msg)) fmt
 type sink =
   | Callback of (Notification.t -> unit)
   | File of { path : string; oc : out_channel }
-  | Socket of Server.t
 
 type sub = {
   sb_name : string;
@@ -58,8 +57,8 @@ type sub = {
    [start_writer]): [flush] drains the queues on the calling domain —
    keeping all conservation accounting deterministic — and hands the
    creation-ordered batch list to the writer through a Mutex/Condition
-   inbox.  Socket writes and file appends then happen off the firing
-   thread. *)
+   inbox.  Callbacks (and with them SSE publication) and file appends then
+   happen off the firing thread. *)
 type writer = {
   w_lock : Mutex.t;
   w_cond : Condition.t;  (* signalled on enqueue AND on batch completion *)
@@ -340,11 +339,6 @@ let add_file t ~path =
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
   t.sinks <- File { path; oc } :: t.sinks
 
-let add_server t server = t.sinks <- Socket server :: t.sinks
-
-let server t =
-  List.find_map (function Socket s -> Some s | _ -> None) t.sinks
-
 (* --- delivery --- *)
 
 let deliver_one t n =
@@ -353,8 +347,7 @@ let deliver_one t n =
       | Callback f -> f n
       | File { oc; _ } ->
         output_string oc (Notification.to_ndjson n);
-        output_char oc '\n'
-      | Socket srv -> Server.publish srv (Notification.to_ndjson n))
+        output_char oc '\n')
     t.sinks
 
 (* Push one flush's batches to the sinks, in subscription-creation order.
@@ -368,7 +361,7 @@ let deliver_batches t ~tracer batches =
       let t0 = Obs.Trace.now () in
       List.iter (deliver_one t) items;
       List.iter
-        (function File { oc; _ } -> flush oc | Callback _ | Socket _ -> ())
+        (function File { oc; _ } -> flush oc | Callback _ -> ())
         t.sinks;
       Obs.Metrics.observe_in t.registry sub.sb_metric
         (Int64.sub (Obs.Trace.now ()) t0);
@@ -447,7 +440,7 @@ let close_sinks t =
   List.iter
     (function
       | File { oc; _ } -> close_out_noerr oc
-      | Callback _ | Socket _ -> ())
+      | Callback _ -> ())
     t.sinks;
   t.sinks <- []
 
@@ -522,16 +515,6 @@ let report t =
       (Printf.sprintf "%d flush(es), %d notification(s) delivered to %d sink(s)\n"
          t.flushes t.notifications_delivered (List.length t.sinks))
   end;
-  (match server t with
-  | None -> ()
-  | Some srv ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         "socket server: %d client(s), %d published, %d frame(s) sent, %d \
-          dropped, %d evicted (deadline %d ms)\n"
-         (Server.client_count srv) (Server.published srv)
-         (Server.frames_sent srv) (Server.clients_dropped srv)
-         (Server.clients_evicted srv) (Server.deadline_ms srv)));
   Buffer.contents buf
 
 (* Per-subscriber counters and gauges plus delivery latency histograms, in
@@ -557,23 +540,6 @@ let metrics_prometheus t =
       (Obs.Metrics.prometheus_gauges ~metric:"trigview_subscription_depth"
          (per Squeue.depth))
   end;
-  (match server t with
-  | None -> ()
-  | Some srv ->
-    Buffer.add_string buf
-      (Obs.Metrics.prometheus_counters ~metric:"trigview_subscribe_server_total"
-         [ ("published", Server.published srv);
-           ("frames_sent", Server.frames_sent srv);
-           ("clients_dropped", Server.clients_dropped srv);
-           ("clients_evicted", Server.clients_evicted srv);
-         ]);
-    Buffer.add_string buf
-      (Obs.Metrics.prometheus_gauges
-         ~metric:"trigview_subscribe_server_deadline_ms"
-         [ ("configured", Server.deadline_ms srv) ]);
-    Buffer.add_string buf
-      (Obs.Metrics.prometheus_gauges ~metric:"trigview_subscribe_server_clients"
-         [ ("connected", Server.client_count srv) ]));
   Buffer.add_string buf
     (Obs.Metrics.registry_to_prometheus ~metric:"trigview_delivery_ns" t.registry);
   Buffer.contents buf

@@ -2,8 +2,11 @@
    query compilation onto the relational planner, and the Httpd/Api stack
    end to end over a real TCP socket — JSON and XML view queries, SQL and
    view-DML endpoints firing triggers into SSE streams, Last-Event-ID
-   replay across reconnects, admission control, long-poll deadlines, and
-   malformed-request fuzz. *)
+   replay across reconnects (above the cursor only, gap markers, cursors
+   from before a restart), concurrent streams, subscriptions surviving
+   checkpoint + reopen, admission control, deadlines (long-poll hold,
+   408 for a stalled partial request, eviction of a stalled SSE reader),
+   pipelining behind a held long-poll, and malformed-request fuzz. *)
 
 module Rql = Httpfront.Rql
 module Httpd = Httpfront.Httpd
@@ -11,10 +14,14 @@ module Api = Httpfront.Api
 module Runtime = Trigview.Runtime
 module Value = Relkit.Value
 
-let contains s sub =
+let index_of s sub =
   let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  let rec go i =
+    if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1)
+  in
   go 0
+
+let contains s sub = index_of s sub <> None
 
 (* --- RQL unit tests --- *)
 
@@ -375,6 +382,57 @@ let open_sse ?(headers = []) api name =
   send fd (Printf.sprintf "GET /subscribe/%s HTTP/1.1\r\nhost: t\r\n%s\r\n" name extra);
   fd
 
+(* Complete events [(id, event, data)] in an SSE response received so far;
+   a trailing partial event is left out. *)
+let sse_events data =
+  match index_of data "\r\n\r\n" with
+  | None -> []
+  | Some i ->
+    let lines =
+      String.split_on_char '\n'
+        (String.sub data (i + 4) (String.length data - i - 4))
+    in
+    (* the last piece has no newline after it yet: incomplete *)
+    let lines = List.filteri (fun k _ -> k < List.length lines - 1) lines in
+    let field prefix l =
+      let n = String.length prefix in
+      if String.length l >= n && String.sub l 0 n = prefix then
+        Some (String.sub l n (String.length l - n))
+      else None
+    in
+    let rec go acc (id, ev, d) = function
+      | [] -> List.rev acc
+      | "" :: rest -> (
+        match id with
+        | Some id -> go ((id, ev, d) :: acc) (None, "", "") rest
+        | None -> go acc (None, "", "") rest)
+      | l :: rest -> (
+        match (field "id: " l, field "event: " l, field "data: " l) with
+        | Some v, _, _ -> go acc (Some (int_of_string v), ev, d) rest
+        | _, Some v, _ -> go acc (id, v, d) rest
+        | _, _, Some v -> go acc (id, ev, v) rest
+        | _ -> go acc (id, ev, d) rest)
+    in
+    go [] (None, "", "") lines
+
+let notification_ids data =
+  List.filter_map
+    (fun (id, ev, _) -> if ev = "notification" then Some id else None)
+    (sse_events data)
+
+(* pump a fixed number of rounds, for asserting that nothing arrives *)
+let pump_rounds api fd buf n =
+  for _ = 1 to n do
+    ignore (Api.step ~timeout_ms:2 api);
+    ignore (recv_into fd buf)
+  done;
+  Buffer.contents buf
+
+let with_sse ?headers api name f =
+  let fd = open_sse ?headers api name in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ()) @@ fun () ->
+  f fd (Buffer.create 512)
+
 let test_http_dml_to_sse () =
   with_api @@ fun _db _mgr hub api ->
   Subscribe.subscribe hub
@@ -457,6 +515,155 @@ let test_http_sse_gap () =
   in
   Alcotest.(check int) "one notification replayed" 1 (count_from 0 0);
   Alcotest.(check bool) "event 2 replayed" true (contains data "92.0")
+
+let publish_n api ns =
+  List.iter
+    (fun i ->
+      ignore
+        (Httpd.publish (Api.httpd api) ~channel:"feed"
+           (Printf.sprintf "{\"n\": %d}" i)))
+    ns
+
+let test_sse_cursor_redelivery () =
+  with_api @@ fun _db _mgr hub api ->
+  Subscribe.subscribe hub "feed AFTER UPDATE ON view('catalog')/product/vendor";
+  (* three events with no client connected *)
+  publish_n api [ 1; 2; 3 ];
+  (* a client that has consumed up to id 1 reconnects: it gets 2 and 3 *)
+  (with_sse ~headers:[ ("Last-Event-ID", "1") ] api "feed" @@ fun fd buf ->
+   let data =
+     pump_until api fd buf (fun d -> List.length (notification_ids d) >= 2)
+   in
+   Alcotest.(check (list int)) "redelivered above the cursor" [ 2; 3 ]
+     (notification_ids data));
+  (* a client that has seen everything gets nothing redelivered, and the
+     stream is live: the next event arrives as id 4 *)
+  with_sse ~headers:[ ("Last-Event-ID", "3") ] api "feed" @@ fun fd buf ->
+  ignore (pump_until api fd buf (fun d -> contains d "text/event-stream"));
+  Alcotest.(check (list int)) "nothing redelivered past the cursor" []
+    (notification_ids (pump_rounds api fd buf 30));
+  publish_n api [ 4 ];
+  let data = pump_until api fd buf (fun d -> notification_ids d <> []) in
+  Alcotest.(check (list int)) "only the live event" [ 4 ] (notification_ids data)
+
+let test_sse_gap_marker () =
+  (* retention of 2: a client behind by more is sent a gap event, then the
+     retained tail, in id order *)
+  with_api ~retain:2 @@ fun _db _mgr hub api ->
+  Subscribe.subscribe hub "feed AFTER UPDATE ON view('catalog')/product/vendor";
+  publish_n api [ 1; 2; 3; 4 ];
+  with_sse ~headers:[ ("Last-Event-ID", "0") ] api "feed" @@ fun fd buf ->
+  let data = pump_until api fd buf (fun d -> List.length (sse_events d) >= 3) in
+  match sse_events data with
+  | [ (2, "gap", gap); (3, "notification", a); (4, "notification", b) ] ->
+    Alcotest.(check bool) "gap names the oldest retained" true
+      (contains gap "\"oldest\": 3");
+    Alcotest.(check bool) "then the retained tail" true
+      (contains a "\"n\": 3" && contains b "\"n\": 4")
+  | _ -> Alcotest.failf "expected gap + events 3, 4, got %S" data
+
+let test_sse_two_streams () =
+  with_api @@ fun _db _mgr hub api ->
+  Subscribe.subscribe hub "feed AFTER UPDATE ON view('catalog')/product/vendor";
+  let publish i =
+    ignore
+      (Httpd.publish (Api.httpd api) ~channel:"feed" (Printf.sprintf "{\"n\": %d}" i))
+  in
+  with_sse api "feed" @@ fun a buf_a ->
+  with_sse api "feed" @@ fun b buf_b ->
+  ignore (pump_until api a buf_a (fun d -> contains d "text/event-stream"));
+  ignore (pump_until api b buf_b (fun d -> contains d "text/event-stream"));
+  Alcotest.(check int) "both streaming" 2 (Httpd.inflight (Api.httpd api));
+  publish 1;
+  publish 2;
+  let got fd buf =
+    notification_ids
+      (pump_until api fd buf (fun d -> List.length (notification_ids d) >= 2))
+  in
+  Alcotest.(check (list int)) "stream a got both" [ 1; 2 ] (got a buf_a);
+  Alcotest.(check (list int)) "stream b got both" [ 1; 2 ] (got b buf_b)
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+let test_sse_durable_reopen () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "trigview_http_durable_%d" (Unix.getpid ()))
+  in
+  rm_rf dir;
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let db = Fixtures.mk_db () in
+  let mgr = Runtime.create ~strategy:Runtime.Grouped_agg db in
+  Runtime.define_view mgr ~name:"catalog" catalog_text;
+  Runtime.attach_durability mgr ~data_dir:dir;
+  let hub = Subscribe.attach mgr in
+  Subscribe.subscribe hub
+    "crt AFTER UPDATE ON view('catalog')/product WHERE NEW_NODE/@name = 'CRT 15' COALESCE off";
+  let api = Api.create ~port:0 ~mgr ~hub () in
+  Fun.protect ~finally:(fun () -> Api.stop api) (fun () ->
+      with_sse api "crt" @@ fun fd buf ->
+      ignore (pump_until api fd buf (fun d -> contains d "text/event-stream"));
+      (* base-table DML -> SSE events in statement order *)
+      Fixtures.update_vendor_price db ~vid:"Amazon" ~pid:"P1" ~price:75.0;
+      Fixtures.update_vendor_price db ~vid:"Amazon" ~pid:"P1" ~price:76.0;
+      Alcotest.(check int) "two delivered" 2 (Subscribe.flush hub);
+      let data = pump_until api fd buf (fun d -> List.length (notification_ids d) >= 2) in
+      Alcotest.(check (list int)) "ids in statement order" [ 1; 2 ]
+        (notification_ids data);
+      match sse_events data with
+      | [ (_, _, a); (_, _, b) ] ->
+        Alcotest.(check bool) "payload seq 1 then 2" true
+          (contains a "\"seq\": 1" && contains b "\"seq\": 2")
+      | _ -> Alcotest.fail "expected exactly two events");
+  (* subscriptions survive checkpoint + reopen; a drop survives replay too *)
+  Runtime.checkpoint mgr;
+  Subscribe.subscribe hub
+    "lcd AFTER UPDATE ON view('catalog')/product WHERE NEW_NODE/@name = 'LCD 19'";
+  Subscribe.unsubscribe hub "lcd";
+  Runtime.durability_sync mgr;
+  let r = Runtime.reopen ~data_dir:dir () in
+  let mgr2 = r.Runtime.runtime in
+  let hub2 = Subscribe.attach mgr2 in
+  Alcotest.(check (list string)) "rearm clean" []
+    (Subscribe.rearm hub2 ~meta:r.Runtime.recovery.Durability.Recovery.meta);
+  Alcotest.(check (list string)) "crt survived, lcd did not" [ "crt" ]
+    (Subscribe.subscription_names hub2);
+  Alcotest.(check bool) "trigger re-armed" true
+    (List.mem "sub$crt" (Runtime.trigger_names mgr2));
+  (* the new instance delivers: its ring numbers from 1 again *)
+  let api2 = Api.create ~port:0 ~mgr:mgr2 ~hub:hub2 () in
+  Fun.protect ~finally:(fun () -> Api.stop api2) @@ fun () ->
+  Fixtures.update_vendor_price (Runtime.database mgr2) ~vid:"Amazon" ~pid:"P1"
+    ~price:77.0;
+  Alcotest.(check int) "recovered feed fires" 1 (Subscribe.flush hub2);
+  (* the client reconnects with the cursor it held before the restart,
+     which lies beyond everything the new ring has published: it is told
+     of the gap and replayed everything retained *)
+  (with_sse ~headers:[ ("Last-Event-ID", "2") ] api2 "crt" @@ fun fd buf ->
+   let data = pump_until api2 fd buf (fun d -> List.length (sse_events d) >= 2) in
+   match sse_events data with
+   | [ (0, "gap", gap); (1, "notification", n) ] ->
+     Alcotest.(check bool) "gap names the oldest retained" true
+       (contains gap "\"oldest\": 1");
+     Alcotest.(check bool) "recovered notification (fresh hub seq 1)" true
+       (contains n "\"seq\": 1" && contains n "77.0")
+   | _ -> Alcotest.failf "expected gap + event 1, got %S" data);
+  (* long-poll from the same stale cursor: the same gap, the same event *)
+  let r = request api2 "/subscribe/crt?mode=longpoll&cursor=2" in
+  Alcotest.(check int) "200" 200 r.r_status;
+  let j = Tjson.parse_json r.r_body in
+  Alcotest.(check bool) "gap flagged" true
+    (Tjson.member_exn "b" "gap" j = Tjson.J_bool true);
+  Alcotest.(check (float 0.0)) "cursor reset to the new ring" 1.0
+    (Tjson.as_num "cursor" (Tjson.member_exn "b" "cursor" j));
+  Alcotest.(check int) "event 1 replayed" 1
+    (List.length (Tjson.as_arr "events" (Tjson.member_exn "b" "events" j)))
 
 let test_http_longpoll () =
   with_api @@ fun _db _mgr hub api ->
@@ -563,6 +770,62 @@ let test_http_fuzz =
       (* whatever the junk did, a well-formed request still succeeds *)
       (request api "/healthz").r_status = 200)
 
+let test_http_stalled_reader_evicted () =
+  (* a subscriber that stops reading: its output cannot drain, so the
+     drain deadline (or the buffer cap) evicts it *)
+  let h = Httpd.create ~deadline_ms:100 ~max_buffered:(1 lsl 20) ~port:0 () in
+  Fun.protect ~finally:(fun () -> Httpd.stop h) @@ fun () ->
+  Httpd.set_handler h (fun _ -> Httpd.Sse { channel = None; cursor = 0 });
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ()) @@ fun () ->
+  Unix.setsockopt_int fd Unix.SO_RCVBUF 4096;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Httpd.port h));
+  send fd "GET /subscribe/x HTTP/1.1\r\nhost: t\r\n\r\n";
+  for _ = 1 to 20 do
+    ignore (Httpd.step ~timeout_ms:2 h)
+  done;
+  Alcotest.(check int) "streaming" 1 (Httpd.inflight h);
+  let chunk = String.make 65536 'x' in
+  let gone () = Httpd.clients_evicted h + Httpd.clients_dropped h > 0 in
+  let rounds = ref 0 in
+  while (not (gone ())) && !rounds < 400 do
+    incr rounds;
+    ignore (Httpd.publish h ~channel:"x" chunk);
+    ignore (Httpd.step ~timeout_ms:2 h)
+  done;
+  Alcotest.(check bool) "stalled reader evicted or dropped" true (gone ());
+  Alcotest.(check int) "connection closed" 0 (Httpd.connection_count h)
+
+let test_http_stalled_request_408 () =
+  with_api ~deadline_ms:100 @@ fun _db _mgr _hub api ->
+  let fd = connect api in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ()) @@ fun () ->
+  (* the head never completes *)
+  send fd "GET /healthz HTTP/1.1\r\nhost: t\r\n";
+  let buf = Buffer.create 256 in
+  let data = pump_until api fd buf (fun d -> contains d "HTTP/1.1 408") in
+  Alcotest.(check bool) "408" true (contains data "HTTP/1.1 408");
+  Alcotest.(check bool) "counted as deadline abort" true
+    (Httpd.deadline_aborts (Api.httpd api) >= 1)
+
+let test_http_pipelined_behind_longpoll () =
+  (* a keep-alive request sent while the long-poll before it is held must
+     be answered once the poll is *)
+  with_api ~deadline_ms:300 @@ fun _db _mgr hub api ->
+  Subscribe.subscribe hub "feed AFTER UPDATE ON view('catalog')/product/vendor";
+  let fd = connect api in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ()) @@ fun () ->
+  send fd "GET /subscribe/feed?mode=longpoll&cursor=0 HTTP/1.1\r\nhost: t\r\n\r\n";
+  let buf = Buffer.create 512 in
+  ignore (pump_rounds api fd buf 10);
+  Alcotest.(check int) "long-poll held" 1 (Httpd.inflight (Api.httpd api));
+  send fd "GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n";
+  let data = pump_until api fd buf (fun d -> contains d "\"ok\": true") in
+  Alcotest.(check bool) "empty batch first" true
+    (contains data "\"events\": []");
+  Alcotest.(check bool) "pipelined request answered" true
+    (contains data "\"ok\": true")
+
 let test_http_view_update () =
   with_api @@ fun _db _mgr hub api ->
   Subscribe.subscribe hub
@@ -644,9 +907,20 @@ let () =
           Alcotest.test_case "long-poll" `Quick test_http_longpoll;
           Alcotest.test_case "long-poll deadline" `Quick test_http_longpoll_deadline;
           Alcotest.test_case "admission control" `Quick test_http_admission_control;
+          Alcotest.test_case "cursor redelivery" `Quick test_sse_cursor_redelivery;
+          Alcotest.test_case "gap marker" `Quick test_sse_gap_marker;
+          Alcotest.test_case "two concurrent streams" `Quick test_sse_two_streams;
+          Alcotest.test_case "durable re-arm after reopen" `Quick
+            test_sse_durable_reopen;
         ] );
       ( "robustness",
         [ Alcotest.test_case "malformed requests" `Quick test_http_malformed;
+          Alcotest.test_case "stalled sse reader evicted" `Quick
+            test_http_stalled_reader_evicted;
+          Alcotest.test_case "stalled partial request 408" `Quick
+            test_http_stalled_request_408;
+          Alcotest.test_case "request pipelined behind long-poll" `Quick
+            test_http_pipelined_behind_longpoll;
           QCheck_alcotest.to_alcotest test_http_fuzz;
         ] );
     ]

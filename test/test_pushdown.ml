@@ -19,6 +19,8 @@ let monitored () =
     key = [ "pname" ];
   }
 
+(* [None] when the statement fired no trigger: a statement that changes
+   zero rows (an UPDATE whose new values equal the old) fires none. *)
 let capture_ctx db ~table ~event dml =
   let captured = ref None in
   Database.create_trigger db
@@ -32,7 +34,11 @@ let capture_ctx db ~table ~event dml =
     };
   dml ();
   Database.drop_trigger db "capture!";
-  Option.get !captured
+  !captured
+
+let must_fire = function
+  | Some tctx -> tctx
+  | None -> Alcotest.fail "statement did not fire"
 
 (* Compare render against Eval on the same graph and context, projected to
    the graph's own output columns. *)
@@ -78,8 +84,9 @@ let an_graph ?(check = Trigview.Angraph.Compare_cols [ "pname" ]) event =
 let test_affected_graph_pushdown_update () =
   let db = Fixtures.mk_db () in
   let tctx =
-    capture_ctx db ~table:"vendor" ~event:Database.Update (fun () ->
-        Fixtures.update_vendor_price db ~vid:"Amazon" ~pid:"P1" ~price:75.0)
+    must_fire
+      (capture_ctx db ~table:"vendor" ~event:Database.Update (fun () ->
+           Fixtures.update_vendor_price db ~vid:"Amazon" ~pid:"P1" ~price:75.0))
   in
   let g =
     an_graph ~check:(Trigview.Angraph.Compare_cols [ "pname" ]) Database.Update
@@ -93,8 +100,9 @@ let test_affected_graph_pushdown_update () =
 let test_affected_graph_pushdown_insert_delete () =
   let db = Fixtures.mk_db () in
   let tctx =
-    capture_ctx db ~table:"vendor" ~event:Database.Delete (fun () ->
-        Fixtures.delete_vendor db ~vid:"Buy.com" ~pid:"P2")
+    must_fire
+      (capture_ctx db ~table:"vendor" ~event:Database.Delete (fun () ->
+           Fixtures.delete_vendor db ~vid:"Buy.com" ~pid:"P2"))
   in
   List.iter
     (fun event -> assert_equivalent tctx (an_graph ~check:Trigview.Angraph.No_check event))
@@ -103,8 +111,9 @@ let test_affected_graph_pushdown_insert_delete () =
 let test_optimizer_passes_preserve_semantics () =
   let db = Fixtures.mk_db () in
   let tctx =
-    capture_ctx db ~table:"vendor" ~event:Database.Insert (fun () ->
-        Fixtures.insert_vendor db ~vid:"Amazon" ~pid:"P2" ~price:500.0)
+    must_fire
+      (capture_ctx db ~table:"vendor" ~event:Database.Insert (fun () ->
+           Fixtures.insert_vendor db ~vid:"Amazon" ~pid:"P2" ~price:500.0))
   in
   let passes p =
     Ra_opt.share_common_subplans (Ra_opt.push_transition_joins p)
@@ -130,7 +139,7 @@ let test_grouped_agg_inversion_equivalence () =
   List.iter
     (fun (name, event, dml) ->
       let db = Fixtures.mk_db () in
-      let tctx = capture_ctx db ~table:"vendor" ~event (fun () -> dml db) in
+      let tctx = must_fire (capture_ctx db ~table:"vendor" ~event (fun () -> dml db)) in
       List.iter
         (fun xml_event ->
           let g = an_graph ~check:Trigview.Angraph.No_check xml_event in
@@ -171,8 +180,9 @@ let test_render_partial_columns () =
   (* Rendering only new_node must not instantiate the old side's templates. *)
   let db = Fixtures.mk_db () in
   let tctx =
-    capture_ctx db ~table:"vendor" ~event:Database.Update (fun () ->
-        Fixtures.update_vendor_price db ~vid:"Amazon" ~pid:"P1" ~price:75.0)
+    must_fire
+      (capture_ctx db ~table:"vendor" ~event:Database.Update (fun () ->
+           Fixtures.update_vendor_price db ~vid:"Amazon" ~pid:"P1" ~price:75.0))
   in
   let g = an_graph ~check:Trigview.Angraph.No_check Database.Update in
   let shredded = Trigview.Pushdown.shred g in
@@ -214,34 +224,42 @@ let dml_gen =
         map (fun i -> `Del i) (int_range 0 100);
       ])
 
-let prop_pushdown_differential =
-  QCheck.Test.make ~name:"pushdown (all variants) = reference evaluator" ~count:40
+let prop_pushdown_differential
+    ?(name = "pushdown (all variants) = reference evaluator") () =
+  QCheck.Test.make ~name ~count:40
     (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.int_range 1 4) dml_gen)) (fun ops ->
       let db = Fixtures.mk_db () in
       let ok = ref true in
+      let view () = Eval.eval (Ra_eval.ctx_of_db db) (Fixtures.catalog_view ()) in
       let with_ctx ~table ~event dml =
-        let tctx = capture_ctx db ~table ~event dml in
-        List.iter
-          (fun xml_event ->
-            let g = an_graph ~check:Trigview.Angraph.No_check xml_event in
-            let reference = Eval.eval tctx g in
-            let base = Trigview.Pushdown.shred g in
-            let variants =
-              [ base;
-                { base with
-                  Trigview.Pushdown.plan =
-                    Ra_opt.share_common_subplans
-                      (Ra_opt.push_transition_joins base.Trigview.Pushdown.plan);
-                };
-                Trigview.Pushdown.invert_old_aggregates ~table:"vendor" base;
-              ]
-            in
-            List.iter
-              (fun v ->
-                if not (Eval.equal_xrel reference (Trigview.Pushdown.render tctx v)) then
-                  ok := false)
-              variants)
-          [ Database.Update; Database.Insert; Database.Delete ]
+        let before = view () in
+        match capture_ctx db ~table ~event dml with
+        | None ->
+          (* nothing fired: the statement changed zero rows, so the view
+             must be unchanged *)
+          if not (Eval.equal_xrel before (view ())) then ok := false
+        | Some tctx ->
+          List.iter
+            (fun xml_event ->
+              let g = an_graph ~check:Trigview.Angraph.No_check xml_event in
+              let reference = Eval.eval tctx g in
+              let base = Trigview.Pushdown.shred g in
+              let variants =
+                [ base;
+                  { base with
+                    Trigview.Pushdown.plan =
+                      Ra_opt.share_common_subplans
+                        (Ra_opt.push_transition_joins base.Trigview.Pushdown.plan);
+                  };
+                  Trigview.Pushdown.invert_old_aggregates ~table:"vendor" base;
+                ]
+              in
+              List.iter
+                (fun v ->
+                  if not (Eval.equal_xrel reference (Trigview.Pushdown.render tctx v)) then
+                    ok := false)
+                variants)
+            [ Database.Update; Database.Insert; Database.Delete ]
       in
       List.iter
         (fun op ->
@@ -274,7 +292,17 @@ let prop_pushdown_differential =
         ops;
       !ok)
 
-let qcheck_tests = List.map QCheck_alcotest.to_alcotest [ prop_pushdown_differential ]
+(* Seeds that once drew a value-identical UPDATE, which fires nothing. *)
+let regression_seeds = [ 272338186 ]
+
+let qcheck_tests =
+  QCheck_alcotest.to_alcotest (prop_pushdown_differential ())
+  :: List.map
+       (fun seed ->
+         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |])
+           (prop_pushdown_differential
+              ~name:(Printf.sprintf "pushdown = reference, seed %d" seed) ()))
+       regression_seeds
 
 let () =
   Alcotest.run "trigview-pushdown"

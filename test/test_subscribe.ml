@@ -1,13 +1,12 @@
 (* The subscription & delivery subsystem: bounded queues (unit + qcheck
    invariants), notification rendering and coalescing keys, the hub over a
    live trigger runtime (callback and file sinks, coalescing windows,
-   unsubscribe), and the Unix-domain-socket server end to end — framed
-   delivery in statement order, ack-cursor redelivery after reconnect, and
-   subscriptions surviving checkpoint + reopen. *)
+   unsubscribe).  Network delivery — SSE replay from a cursor, gap markers,
+   concurrent streams, subscriptions surviving checkpoint + reopen — is
+   tested end to end in test_http.ml. *)
 
 module Squeue = Subscribe.Squeue
 module Notification = Subscribe.Notification
-module Server = Subscribe.Server
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -331,215 +330,6 @@ let test_hub_file_sink () =
         (String.length l > 2 && l.[0] = '{' && l.[String.length l - 1] = '}'))
     !lines
 
-(* --- socket server end to end --- *)
-
-let sock_counter = ref 0
-
-let fresh_socket_path () =
-  incr sock_counter;
-  Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "trigview_sub_%d_%d.sock" (Unix.getpid ()) !sock_counter)
-
-let connect_client path =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX path);
-  Unix.set_nonblock fd;
-  fd
-
-let send_frame fd payload =
-  let n = String.length payload in
-  let b = Bytes.create (4 + n) in
-  Bytes.set b 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set b 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set b 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set b 3 (Char.chr (n land 0xff));
-  Bytes.blit_string payload 0 b 4 n;
-  ignore (Unix.write fd b 0 (Bytes.length b))
-
-(* Pump the server and drain this client's socket until [want] frames have
-   arrived (or ~1s passes). *)
-let recv_frames server fd ~want =
-  let buf = Buffer.create 1024 in
-  let frames = ref [] in
-  let parse () =
-    let continue = ref true in
-    while !continue do
-      let data = Buffer.contents buf in
-      let n = String.length data in
-      if n < 4 then continue := false
-      else
-        let len =
-          (Char.code data.[0] lsl 24)
-          lor (Char.code data.[1] lsl 16)
-          lor (Char.code data.[2] lsl 8)
-          lor Char.code data.[3]
-        in
-        if n < 4 + len then continue := false
-        else begin
-          frames := String.sub data 4 len :: !frames;
-          Buffer.clear buf;
-          Buffer.add_string buf (String.sub data (4 + len) (n - 4 - len))
-        end
-    done
-  in
-  let tries = ref 200 in
-  let chunk = Bytes.create 65536 in
-  while List.length !frames < want && !tries > 0 do
-    decr tries;
-    ignore (Server.step ~timeout_ms:5 server);
-    (match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> tries := 0 (* EOF *)
-    | n -> Buffer.add_subbytes buf chunk 0 n
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
-    parse ()
-  done;
-  List.rev !frames
-
-let gseq_of frame =
-  (* frames look like {"gseq": N, "payload": ...} *)
-  try Scanf.sscanf frame "{\"gseq\": %d," (fun g -> g) with _ -> -1
-
-let test_socket_end_to_end () =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "trigview_sub_e2e_%d" (Unix.getpid ()))
-  in
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-        Sys.rmdir path
-      end
-      else Sys.remove path
-  in
-  rm_rf dir;
-  let sock = fresh_socket_path () in
-  let db, mgr, hub = setup_hub () in
-  Trigview.Runtime.attach_durability mgr ~data_dir:dir;
-  let server = Server.create ~path:sock () in
-  Subscribe.add_server hub server;
-  Subscribe.subscribe hub (crt_sub ^ " COALESCE off");
-
-  (* client connects and sends its hello cursor (fresh: 0) *)
-  let fd = connect_client sock in
-  send_frame fd "{\"ack\": 0}";
-  ignore (Server.step ~timeout_ms:10 server);
-
-  (* DML on base tables -> framed notifications in statement order *)
-  Fixtures.update_vendor_price db ~vid:"Amazon" ~pid:"P1" ~price:75.0;
-  Fixtures.update_vendor_price db ~vid:"Amazon" ~pid:"P1" ~price:76.0;
-  Alcotest.(check int) "two delivered to server" 2 (Subscribe.flush hub);
-  let frames = recv_frames server fd ~want:2 in
-  Alcotest.(check int) "two frames" 2 (List.length frames);
-  Alcotest.(check (list int)) "gseq order" [ 1; 2 ] (List.map gseq_of frames);
-  Alcotest.(check bool) "payload carries seq 1 then 2" true
-    (match frames with
-    | [ a; b ] ->
-      contains a "\"seq\": 1" && contains b "\"seq\": 2"
-    | _ -> false);
-
-  (* client acks only the first frame, then drops the connection *)
-  send_frame fd "{\"ack\": 1}";
-  ignore (Server.step ~timeout_ms:10 server);
-  Unix.close fd;
-  ignore (Server.step ~timeout_ms:10 server);
-
-  (* subscriptions survive checkpoint + reopen *)
-  Trigview.Runtime.checkpoint mgr;
-  Subscribe.subscribe hub "lcd AFTER UPDATE ON view('catalog')/product WHERE NEW_NODE/@name = 'LCD 19'";
-  Subscribe.unsubscribe hub "lcd";  (* the drop must survive replay too *)
-  Trigview.Runtime.durability_sync mgr;
-  let r = Trigview.Runtime.reopen ~data_dir:dir () in
-  let mgr2 = r.Trigview.Runtime.runtime in
-  let hub2 = Subscribe.attach mgr2 in
-  let errs =
-    Subscribe.rearm hub2 ~meta:r.Trigview.Runtime.recovery.Durability.Recovery.meta
-  in
-  Alcotest.(check (list string)) "rearm clean" [] errs;
-  Alcotest.(check (list string)) "crt survived, lcd did not" [ "crt" ]
-    (Subscribe.subscription_names hub2);
-  Alcotest.(check bool) "trigger re-armed" true
-    (List.mem "sub$crt" (Trigview.Runtime.trigger_names mgr2));
-
-  (* a fresh server on the reopened runtime; the reconnecting client resumes
-     from its ack cursor: it re-receives frame 2 (unacked), not frame 1 *)
-  Server.stop server;
-  let server2 = Server.create ~path:sock () in
-  Subscribe.add_server hub2 server2;
-  (* live traffic against the recovered runtime *)
-  Fixtures.update_vendor_price (Trigview.Runtime.database mgr2) ~vid:"Amazon"
-    ~pid:"P1" ~price:77.0;
-  Alcotest.(check int) "recovered feed fires" 1 (Subscribe.flush hub2);
-  let fd2 = connect_client sock in
-  send_frame fd2 "{\"ack\": 0}";
-  let frames2 = recv_frames server2 fd2 ~want:1 in
-  Alcotest.(check int) "replay after reconnect" 1 (List.length frames2);
-  Alcotest.(check bool) "recovered notification has seq 1 (fresh hub state)" true
-    (contains (List.hd frames2) "\"seq\": 1");
-  Unix.close fd2;
-  Server.stop server2;
-  rm_rf dir
-
-let test_socket_ack_cursor_redelivery () =
-  let sock = fresh_socket_path () in
-  let server = Server.create ~path:sock () in
-  (* publish three notifications with no client connected *)
-  Server.publish server "{\"n\": 1}";
-  Server.publish server "{\"n\": 2}";
-  Server.publish server "{\"n\": 3}";
-  (* a client that has consumed up to gseq 1 reconnects: it must get 2 and 3 *)
-  let fd = connect_client sock in
-  send_frame fd "{\"ack\": 1}";
-  let frames = recv_frames server fd ~want:2 in
-  Alcotest.(check (list int)) "redelivered above the cursor" [ 2; 3 ]
-    (List.map gseq_of frames);
-  (* acking 3 and reconnecting again yields nothing new *)
-  send_frame fd "{\"ack\": 3}";
-  ignore (Server.step ~timeout_ms:10 server);
-  Unix.close fd;
-  let fd2 = connect_client sock in
-  send_frame fd2 "{\"ack\": 3}";
-  let frames2 = recv_frames server fd2 ~want:1 in
-  Alcotest.(check int) "nothing to redeliver" 0 (List.length frames2);
-  Unix.close fd2;
-  Server.stop server
-
-let test_socket_multiple_clients () =
-  let sock = fresh_socket_path () in
-  let server = Server.create ~path:sock () in
-  let a = connect_client sock in
-  let b = connect_client sock in
-  send_frame a "{\"ack\": 0}";
-  send_frame b "{\"ack\": 0}";
-  ignore (Server.step ~timeout_ms:10 server);
-  ignore (Server.step ~timeout_ms:10 server);
-  Alcotest.(check int) "both connected" 2 (Server.client_count server);
-  Server.publish server "{\"n\": 1}";
-  let fa = recv_frames server a ~want:1 in
-  let fb = recv_frames server b ~want:1 in
-  Alcotest.(check int) "client a got it" 1 (List.length fa);
-  Alcotest.(check int) "client b got it" 1 (List.length fb);
-  Unix.close a;
-  Unix.close b;
-  Server.stop server
-
-let test_socket_gap_marker () =
-  let sock = fresh_socket_path () in
-  (* retention of 2: a client behind by more must see a gap marker *)
-  let server = Server.create ~retain:2 ~path:sock () in
-  List.iter (fun i -> Server.publish server (Printf.sprintf "{\"n\": %d}" i)) [ 1; 2; 3; 4 ];
-  let fd = connect_client sock in
-  send_frame fd "{\"ack\": 0}";
-  let frames = recv_frames server fd ~want:3 in
-  (match frames with
-  | gap :: rest ->
-    Alcotest.(check bool) "gap marker first" true
-      (contains gap "\"gap\": true" && contains gap "\"oldest\": 3");
-    Alcotest.(check (list int)) "then the retained tail" [ 3; 4 ] (List.map gseq_of rest)
-  | [] -> Alcotest.fail "expected frames");
-  Unix.close fd;
-  Server.stop server
-
 let () =
   Alcotest.run "subscribe"
     [ ( "queue",
@@ -564,12 +354,5 @@ let () =
           Alcotest.test_case "unsubscribe" `Quick test_hub_unsubscribe_stops_delivery;
           Alcotest.test_case "DDL errors" `Quick test_hub_ddl_errors;
           Alcotest.test_case "file sink" `Quick test_hub_file_sink;
-        ] );
-      ( "socket",
-        [ Alcotest.test_case "end to end (durable)" `Quick test_socket_end_to_end;
-          Alcotest.test_case "ack-cursor redelivery" `Quick
-            test_socket_ack_cursor_redelivery;
-          Alcotest.test_case "multiple clients" `Quick test_socket_multiple_clients;
-          Alcotest.test_case "gap marker" `Quick test_socket_gap_marker;
         ] );
     ]

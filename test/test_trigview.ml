@@ -69,6 +69,8 @@ let test_relevant_columns () =
 
 (* --- helpers: capture a trigger context for arbitrary DML --- *)
 
+(* [None] when the statement fired no trigger: a statement that changes
+   zero rows (an UPDATE whose new values equal the old) fires none. *)
 let capture_ctx db ~table ~event dml =
   let captured = ref None in
   Database.create_trigger db
@@ -82,7 +84,9 @@ let capture_ctx db ~table ~event dml =
     };
   dml ();
   Database.drop_trigger db "capture!";
-  match !captured with
+  !captured
+
+let must_fire = function
   | Some tctx -> tctx
   | None -> Alcotest.fail "statement did not fire"
 
@@ -139,7 +143,7 @@ let eval_affected tctx (an : Trigview.Angraph.t) =
 (* Per-event comparison helper used in the named tests below. *)
 let affected_for db ~table ~event ~xml_event ?check ?cond dml =
   let before = view_snapshot (Ra_eval.ctx_of_db db) in
-  let tctx = capture_ctx db ~table ~event dml in
+  let tctx = must_fire (capture_ctx db ~table ~event dml) in
   let after = view_snapshot (Ra_eval.ctx_of_db db) in
   let an =
     match
@@ -178,8 +182,9 @@ let test_transition_only_evaluation_misses_it () =
      count predicate sees 1. *)
   let db = Fixtures.mk_db () in
   let tctx =
-    capture_ctx db ~table:"vendor" ~event:Database.Insert (fun () ->
-        Fixtures.insert_vendor db ~vid:"Amazon" ~pid:"P2" ~price:500.0)
+    must_fire
+      (capture_ctx db ~table:"vendor" ~event:Database.Insert (fun () ->
+           Fixtures.insert_vendor db ~vid:"Amazon" ~pid:"P2" ~price:500.0))
   in
   (* rebuild the product level with the vendor scan bound to Delta *)
   let product = Op.table "product" [ ("pid", "pid"); ("pname", "pname") ] in
@@ -354,8 +359,9 @@ let test_minprice_spurious_update_suppressed () =
   (* P2 ("LCD 19") has prices 200 and 180; raising the non-minimum price from
      200 to 190 keeps min = 180: no XML update. *)
   let tctx =
-    capture_ctx db ~table:"vendor" ~event:Database.Update (fun () ->
-        Fixtures.update_vendor_price db ~vid:"Buy.com" ~pid:"P2" ~price:190.0)
+    must_fire
+      (capture_ctx db ~table:"vendor" ~event:Database.Update (fun () ->
+           Fixtures.update_vendor_price db ~vid:"Buy.com" ~pid:"P2" ~price:190.0))
   in
   let check =
     match
@@ -382,8 +388,9 @@ let test_minprice_spurious_update_suppressed () =
 let test_minprice_real_update_detected () =
   let db = Fixtures.mk_db () in
   let tctx =
-    capture_ctx db ~table:"vendor" ~event:Database.Update (fun () ->
-        Fixtures.update_vendor_price db ~vid:"Bestbuy" ~pid:"P2" ~price:50.0)
+    must_fire
+      (capture_ctx db ~table:"vendor" ~event:Database.Update (fun () ->
+           Fixtures.update_vendor_price db ~vid:"Bestbuy" ~pid:"P2" ~price:50.0))
   in
   let an =
     Option.get
@@ -454,11 +461,17 @@ let apply_dml db op ~on_fire =
       Some ()
     end
 
-let prop_differential_vs_oracle =
+let canonical_snapshot snap =
+  List.sort compare
+    (List.map (fun (k, n) -> (k, Xmlkit.Xml.to_string ~canonical:true n)) snap)
+
+let prop_differential_vs_oracle ?(name = "G_affected = recompute-and-diff oracle") () =
   (* Apply random DML statements to the paper's database; after each firing,
      G_affected for each XML event must match the recompute-and-diff oracle
-     exactly (same keys, same OLD/NEW node values). *)
-  QCheck.Test.make ~name:"G_affected = recompute-and-diff oracle" ~count:60
+     exactly (same keys, same OLD/NEW node values).  A statement that fired
+     nothing (an UPDATE to the current price changes zero rows) must have
+     left the view as it was. *)
+  QCheck.Test.make ~name ~count:60
     (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.int_range 1 6) dml_gen))
     (fun ops ->
       let db = Fixtures.mk_db () in
@@ -467,39 +480,54 @@ let prop_differential_vs_oracle =
         (fun op ->
           let before = view_snapshot (Ra_eval.ctx_of_db db) in
           ignore
-            (apply_dml db op ~on_fire:(fun tctx ->
+            (apply_dml db op ~on_fire:(fun fired ->
                  let after = view_snapshot (Ra_eval.ctx_of_db db) in
-                 let d = oracle_diff before after in
-                 let xml n = Xmlkit.Xml.to_string ~canonical:true n in
-                 let check ~xml_event expected =
-                   match
-                     Trigview.Angraph.create ~schema_of ~event:xml_event ~table:"vendor"
-                       ~check:Trigview.Angraph.Compare_nodes (monitored ())
-                   with
-                   | None -> ok := false
-                   | Some an ->
-                     let rows = eval_affected tctx an in
-                     let norm =
-                       List.sort compare
-                         (List.map
-                            (fun (k, o, n) -> (k, Option.map xml o, Option.map xml n))
-                            rows)
-                     in
-                     if norm <> List.sort compare expected then ok := false
-                 in
-                 (* The relational event is what fired; the XML event is what
-                    the trigger monitors — all three must agree with the
-                    oracle for every firing. *)
-                 check ~xml_event:Database.Update
-                   (List.map (fun (k, o, n) -> (k, Some (xml o), Some (xml n))) d.updated);
-                 check ~xml_event:Database.Insert
-                   (List.map (fun (k, n) -> (k, None, Some (xml n))) d.inserted);
-                 check ~xml_event:Database.Delete
-                   (List.map (fun (k, o) -> (k, Some (xml o), None)) d.deleted))))
+                 match fired with
+                 | None ->
+                   if canonical_snapshot before <> canonical_snapshot after then
+                     ok := false
+                 | Some tctx ->
+                   let d = oracle_diff before after in
+                   let xml n = Xmlkit.Xml.to_string ~canonical:true n in
+                   let check ~xml_event expected =
+                     match
+                       Trigview.Angraph.create ~schema_of ~event:xml_event ~table:"vendor"
+                         ~check:Trigview.Angraph.Compare_nodes (monitored ())
+                     with
+                     | None -> ok := false
+                     | Some an ->
+                       let rows = eval_affected tctx an in
+                       let norm =
+                         List.sort compare
+                           (List.map
+                              (fun (k, o, n) -> (k, Option.map xml o, Option.map xml n))
+                              rows)
+                       in
+                       if norm <> List.sort compare expected then ok := false
+                   in
+                   (* The relational event is what fired; the XML event is what
+                      the trigger monitors — all three must agree with the
+                      oracle for every firing. *)
+                   check ~xml_event:Database.Update
+                     (List.map (fun (k, o, n) -> (k, Some (xml o), Some (xml n))) d.updated);
+                   check ~xml_event:Database.Insert
+                     (List.map (fun (k, n) -> (k, None, Some (xml n))) d.inserted);
+                   check ~xml_event:Database.Delete
+                     (List.map (fun (k, o) -> (k, Some (xml o), None)) d.deleted))))
         ops;
       !ok)
 
-let qcheck_tests = List.map QCheck_alcotest.to_alcotest [ prop_differential_vs_oracle ]
+(* Seeds that once drew a value-identical UPDATE, which fires nothing. *)
+let regression_seeds = [ 819683799 ]
+
+let qcheck_tests =
+  QCheck_alcotest.to_alcotest (prop_differential_vs_oracle ())
+  :: List.map
+       (fun seed ->
+         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |])
+           (prop_differential_vs_oracle
+              ~name:(Printf.sprintf "G_affected = oracle, seed %d" seed) ()))
+       regression_seeds
 
 let () =
   Alcotest.run "trigview-core"

@@ -137,8 +137,11 @@ let test_eval_count_predicate_filters () =
     [ Some "CRT 15" ]
     (List.map (fun p -> Xmlkit.Xml.attr p "name") products)
 
-let test_eval_pre_binding_sees_old_state () =
-  let db = Fixtures.mk_db () in
+(* Run [dml] under a vendor UPDATE trigger whose body evaluates [inside] on
+   the trigger context.  [None] when the statement fired no trigger: a
+   statement that changes zero rows (an UPDATE whose new values equal the
+   old) fires none. *)
+let on_vendor_update db ~inside dml =
   let seen = ref None in
   Database.create_trigger db
     { Database.trig_name = "capture";
@@ -147,16 +150,24 @@ let test_eval_pre_binding_sees_old_state () =
       prepare = None;
       relevance = None;
       sql_text = "(test)";
-      body =
-        (fun tc ->
-          let tctx = Ra_eval.ctx_of_trigger tc in
-          let old_graph = Op.to_old ~table:"vendor" (Fixtures.product_level ()) in
-          let rel = Eval.eval_sorted tctx ~by:[ "pname" ] old_graph in
-          let cur = Eval.eval_sorted tctx ~by:[ "pname" ] (Fixtures.product_level ()) in
-          seen := Some (rel, cur));
+      body = (fun tc -> seen := Some (inside (Ra_eval.ctx_of_trigger tc)));
     };
-  Fixtures.update_vendor_price db ~vid:"Amazon" ~pid:"P1" ~price:75.0;
-  match !seen with
+  dml ();
+  Database.drop_trigger db "capture";
+  !seen
+
+let test_eval_pre_binding_sees_old_state () =
+  let db = Fixtures.mk_db () in
+  let seen =
+    on_vendor_update db
+      ~inside:(fun tctx ->
+        let old_graph = Op.to_old ~table:"vendor" (Fixtures.product_level ()) in
+        let rel = Eval.eval_sorted tctx ~by:[ "pname" ] old_graph in
+        let cur = Eval.eval_sorted tctx ~by:[ "pname" ] (Fixtures.product_level ()) in
+        (rel, cur))
+      (fun () -> Fixtures.update_vendor_price db ~vid:"Amazon" ~pid:"P1" ~price:75.0)
+  in
+  match seen with
   | None -> Alcotest.fail "no firing"
   | Some (old_rel, cur_rel) ->
     let price_of rel =
@@ -173,27 +184,19 @@ let test_eval_pre_binding_sees_old_state () =
 
 let test_eval_delta_nabla_bindings () =
   let db = Fixtures.mk_db () in
-  let seen = ref None in
-  Database.create_trigger db
-    { Database.trig_name = "capture";
-      trig_table = "vendor";
-      trig_event = Database.Update;
-      prepare = None;
-      relevance = None;
-      sql_text = "(test)";
-      body =
-        (fun tc ->
-          let tctx = Ra_eval.ctx_of_trigger tc in
-          let delta =
-            Op.table ~binding:Op.Delta "vendor" [ ("vid", "vid"); ("price", "price") ]
-          in
-          let nabla =
-            Op.table ~binding:Op.Nabla "vendor" [ ("vid", "vid"); ("price", "price") ]
-          in
-          seen := Some (Eval.eval tctx delta, Eval.eval tctx nabla));
-    };
-  Fixtures.update_vendor_price db ~vid:"Amazon" ~pid:"P1" ~price:75.0;
-  match !seen with
+  let seen =
+    on_vendor_update db
+      ~inside:(fun tctx ->
+        let delta =
+          Op.table ~binding:Op.Delta "vendor" [ ("vid", "vid"); ("price", "price") ]
+        in
+        let nabla =
+          Op.table ~binding:Op.Nabla "vendor" [ ("vid", "vid"); ("price", "price") ]
+        in
+        (Eval.eval tctx delta, Eval.eval tctx nabla))
+      (fun () -> Fixtures.update_vendor_price db ~vid:"Amazon" ~pid:"P1" ~price:75.0)
+  in
+  match seen with
   | Some (d, n) ->
     Alcotest.(check int) "delta rows" 1 (List.length d.Eval.rows);
     Alcotest.(check int) "nabla rows" 1 (List.length n.Eval.rows)
@@ -372,36 +375,45 @@ let prop_view_eval_deterministic =
       let b = Eval.eval (Ra_eval.ctx_of_db db) (Fixtures.catalog_view ()) in
       Eval.equal_xrel a b)
 
-let prop_old_graph_is_pre_state =
-  QCheck.Test.make ~name:"G_old = view evaluated before the statement" ~count:30
+let prop_old_graph_is_pre_state
+    ?(name = "G_old = view evaluated before the statement") () =
+  QCheck.Test.make ~name ~count:30
     (QCheck.make random_price_update) (fun (i, price) ->
       let db = Fixtures.mk_db () in
-      let before = Eval.eval (Ra_eval.ctx_of_db db) (Fixtures.catalog_view ()) in
+      let view () = Eval.eval (Ra_eval.ctx_of_db db) (Fixtures.catalog_view ()) in
+      let before = view () in
       let vendors = Table.to_rows (Database.get_table db "vendor") in
       let victim = List.nth vendors (i mod List.length vendors) in
-      let ok = ref false in
-      Database.create_trigger db
-        { Database.trig_name = "capture";
-          trig_table = "vendor";
-          trig_event = Database.Update;
-          prepare = None;
-      relevance = None;
-          sql_text = "(test)";
-          body =
-            (fun tc ->
-              let tctx = Ra_eval.ctx_of_trigger tc in
-              let old_graph = Op.to_old ~table:"vendor" (Fixtures.catalog_view ()) in
-              ok := Eval.equal_xrel (Eval.eval tctx old_graph) before);
-        };
-      ignore
-        (Database.update_rows db ~table:"vendor"
-           ~where:(fun r -> r == victim)
-           ~set:(fun r -> [| r.(0); r.(1); v_float price |]));
-      !ok)
+      let fired =
+        on_vendor_update db
+          ~inside:(fun tctx ->
+            let old_graph = Op.to_old ~table:"vendor" (Fixtures.catalog_view ()) in
+            Eval.equal_xrel (Eval.eval tctx old_graph) before)
+          (fun () ->
+            ignore
+              (Database.update_rows db ~table:"vendor"
+                 ~where:(fun r -> r == victim)
+                 ~set:(fun r -> [| r.(0); r.(1); v_float price |])))
+      in
+      match fired with
+      | Some ok -> ok
+      | None ->
+        (* the new price equals the old: zero rows changed, nothing fired,
+           and the view must be unchanged *)
+        Eval.equal_xrel before (view ()))
+
+(* Seeds that once drew a value-identical UPDATE, which fires nothing. *)
+let regression_seeds = [ 173994327 ]
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_view_eval_deterministic; prop_old_graph_is_pre_state ]
+    [ prop_view_eval_deterministic; prop_old_graph_is_pre_state () ]
+  @ List.map
+      (fun seed ->
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |])
+          (prop_old_graph_is_pre_state
+             ~name:(Printf.sprintf "G_old = pre-state view, seed %d" seed) ()))
+      regression_seeds
 
 let () =
   Alcotest.run "xqgm"
